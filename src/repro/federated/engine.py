@@ -1,7 +1,6 @@
 """Fleet-scale vectorized federated training engine.
 
-The seed-era :class:`~repro.federated.server.FederatedServer` executed a
-round client by client: clone the global model, run local SGD in a Python
+The seed-era federated server executed a round client by client: clone the global model, run local SGD in a Python
 loop, compress one delta at a time.  This module executes the same round
 *fleet-wide*:
 
@@ -28,15 +27,13 @@ loop, compress one delta at a time.  This module executes the same round
   straggler timeouts and byzantine clients injecting scaled / sign-flipped
   deltas (exercised against :class:`TrimmedMeanAggregator`).
 
-The legacy per-client loop is preserved behind
-``run_round(..., engine="oracle")`` (the unified toggle convention of
-:mod:`repro.dispatch`; the old :meth:`FederatedEngine.run_round_legacy`
-spelling survives as a deprecated alias) so benchmarks can assert the
-vectorized path stays equivalent and at least an order of magnitude faster
-(``bench_e6``), mirroring the batched-serving guardrail of ``bench_e1``.
-``run_round(..., engine="sharded")`` additionally distributes the batched
-cohorts across a process pool (:mod:`repro.runtime.sharded`) and merges the
-delta stack at a barrier, byte-identical to the in-process batched path.
+Every engine (:mod:`repro.dispatch`) runs one round transaction,
+:meth:`FederatedEngine.run_round`.  ``engine="oracle"`` trains, compresses
+and aggregates client by client — the seed-era loop, kept so benchmarks can
+assert the vectorized path stays equivalent and at least an order of
+magnitude faster (``bench_e6``), like the serving guardrail of ``bench_e1``.
+``engine="sharded"`` trains the batched cohorts in one process-pool
+dispatch (:mod:`repro.runtime.sharded`), byte-identical to ``"batched"``.
 
 **Extending the batched trainer** (the federated twin of the fused-kernel
 recipe in :mod:`repro.exchange.compiled`):
@@ -64,7 +61,6 @@ recipe in :mod:`repro.exchange.compiled`):
 from __future__ import annotations
 
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -851,7 +847,8 @@ class _RoundPlan:
 class FederatedEngine:
     """Executes federated rounds fleet-wide instead of client-by-client.
 
-    Parameters mirror the seed-era ``FederatedServer`` plus:
+    Parameters beyond the model, clients, aggregator, compressor,
+    scheduler and evaluation data:
 
     fleet:
         A :class:`~repro.devices.fleet.Fleet` whose live device state
@@ -890,9 +887,10 @@ class FederatedEngine:
         The :class:`repro.faults.RetryPolicy` governing delta-delivery
         retries (defaults to ``RetryPolicy()`` when an injector is set).
     checkpoints:
-        Optional :class:`repro.faults.CheckpointStore`.  When set, the
-        batched round loop persists a :class:`RoundCheckpoint` after
-        selection and after every completed cohort sweep; a
+        Optional :class:`repro.faults.CheckpointStore`.  When set, every
+        engine persists a :class:`RoundCheckpoint` after selection and
+        after every completed work unit — a cohort sweep on the batched
+        and sharded engines, a single client on the oracle; a
         ``RoundInterrupted`` round re-issued against the same store
         resumes from the checkpoint and commits byte-identically to an
         uninterrupted run.
@@ -1247,79 +1245,101 @@ class FederatedEngine:
         )
 
     # -- round execution -------------------------------------------------
+    def _maybe_interrupt(
+        self, round_index: int, completed: int, checkpoint: Optional[RoundCheckpoint]
+    ) -> None:
+        """Fire the fault plan's coordinator interrupt once ``completed``
+        work units are safely checkpointed (inert without a checkpoint)."""
+        inj = self.fault_injector
+        if checkpoint is None or inj is None:
+            return
+        after = inj.interrupt_after(round_index)
+        if after is not None and completed >= after:
+            inj.fire_interrupt(round_index)
+            raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
+
     def _collect_deltas(
         self,
         contributors: Sequence[str],
+        oracle: bool,
+        runner=None,
         round_index: Optional[int] = None,
         checkpoint: Optional[RoundCheckpoint] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Local training for the contributors: one vectorized sweep per
-        homogeneous cohort, per-client fallback for the rest.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Local training for the contributors, one work unit at a time.
 
-        With a ``checkpoint``, already-recorded cohorts are restored
-        instead of retrained (their sweeps are pure functions of the
-        global weights, so the restored rows are the bytes a retrain
-        would produce), every fresh cohort is persisted to the engine's
-        checkpoint store as it completes, and a fault-plan coordinator
-        interrupt raises :class:`RoundInterrupted` *between* sweeps —
-        after the finished work is safely checkpointed.
+        The oracle's units are single clients (position = contributor row,
+        so checkpoints and interrupts count clients); the other engines'
+        units are :func:`partition_cohorts` cohorts — one vectorized sweep
+        per batched cohort, the per-client loop for fallback cohorts.  A
+        ``runner`` (``engine="sharded"``) trains every batched cohort up
+        front in one process-pool dispatch.
+
+        With a ``checkpoint``, already-recorded units are restored instead
+        of retrained (training is a pure function of the global weights,
+        so the restored rows are the bytes a retrain would produce), every
+        fresh unit is persisted to the engine's checkpoint store as it
+        completes, and a fault-plan coordinator interrupt raises
+        :class:`RoundInterrupted` *between* units — after the finished
+        work is safely checkpointed.
+
+        Returns ``(deltas, losses, accs, shard_recoveries)``.
         """
         clients = [self.clients[cid] for cid in contributors]
         n_params = self.global_model.get_flat_weights().size
         deltas = np.zeros((len(clients), n_params))
         losses = np.zeros(len(clients))
         accs = np.zeros(len(clients))
-        inj = self.fault_injector if checkpoint is not None else None
+        if oracle:
+            units = [Cohort("fallback", ("oracle",), (row,)) for row in range(len(clients))]
+        else:
+            units = partition_cohorts(self.global_model, clients)
+        pooled: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        shard_recoveries = 0
+        if runner is not None and checkpoint is None:
+            # A checkpointed round trains in-process: the sharded merge is
+            # all-or-nothing and byte-identical, so checkpointing
+            # mid-dispatch would add nothing.
+            positions = [p for p, unit in enumerate(units) if unit.batched]
+            if positions:
+                trained, shard_recoveries = runner.collect_deltas(
+                    self.global_model, [[clients[i] for i in units[p].indices] for p in positions]
+                )
+                pooled = dict(zip(positions, trained))
         completed = 0
-        for position, cohort in enumerate(partition_cohorts(self.global_model, clients)):
-            if cohort.kind == "idle":
+        for position, unit in enumerate(units):
+            if unit.kind == "idle":
                 continue  # zero-sample clients keep their zero rows
+            idx = list(unit.indices)
             if checkpoint is not None and position in checkpoint.cohorts:
                 payload = checkpoint.cohorts[position]
-                idx = payload["indices"].tolist()
                 deltas[idx] = payload["deltas"]
                 losses[idx] = payload["losses"]
                 accs[idx] = payload["accs"]
                 completed += 1
                 continue
-            if inj is not None:
-                after = inj.interrupt_after(round_index)
-                if after is not None and completed >= after:
-                    inj.fire_interrupt(round_index)
-                    raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
-            if cohort.batched:
-                sub = [clients[i] for i in cohort.indices]
-                d, l, a = train_clients_batched(self.global_model, sub)
-                idx = list(cohort.indices)
-                deltas[idx] = d
-                losses[idx] = l
-                accs[idx] = a
+            self._maybe_interrupt(round_index, completed, checkpoint)
+            if position in pooled:
+                deltas[idx], losses[idx], accs[idx] = pooled[position]
+            elif unit.batched:
+                deltas[idx], losses[idx], accs[idx] = train_clients_batched(
+                    self.global_model, [clients[i] for i in idx]
+                )
             else:
-                idx = list(cohort.indices)
-                d = np.zeros((len(idx), n_params))
-                l = np.zeros(len(idx))
-                a = np.zeros(len(idx))
-                for j, i in enumerate(idx):
+                for i in idx:
                     update = clients[i].train_round(self.global_model)
-                    d[j] = update.delta
-                    l[j] = update.local_loss
-                    a[j] = update.metrics.get("local_accuracy", 0.0)
-                deltas[idx] = d
-                losses[idx] = l
-                accs[idx] = a
+                    deltas[i] = update.delta
+                    losses[i] = update.local_loss
+                    accs[i] = update.metrics.get("local_accuracy", 0.0)
             completed += 1
             if checkpoint is not None:
                 checkpoint.record_cohort(position, idx, deltas[idx], losses[idx], accs[idx])
                 self.checkpoints.put(checkpoint)
-        if inj is not None:
-            # An interrupt scheduled at-or-past the cohort count fires
-            # after the last sweep: all work is checkpointed, only the
-            # commit is missing — resume replays it from restored rows.
-            after = inj.interrupt_after(round_index)
-            if after is not None and completed >= after:
-                inj.fire_interrupt(round_index)
-                raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
-        return deltas, losses, accs
+        # An interrupt scheduled at-or-past the unit count fires after the
+        # last unit: all work is checkpointed, only the commit is missing —
+        # resume replays it from restored rows.
+        self._maybe_interrupt(round_index, completed, checkpoint)
+        return deltas, losses, accs, shard_recoveries
 
     def run_round(
         self,
@@ -1331,31 +1351,27 @@ class FederatedEngine:
         """Execute one round and append its result to ``history``.
 
         ``engine="batched"`` (default) runs the vectorized cohort sweep;
-        ``engine="oracle"`` runs the seed-era per-client loop kept as the
+        ``engine="oracle"`` the seed-era per-client loop, kept as the
         equivalence and performance baseline; ``engine="sharded"``
         distributes the batched cohorts across ``workers`` processes (a
         :class:`~repro.runtime.sharded.ShardedFleetRunner`; assign
-        :attr:`shard_runner` to customize backend/timeouts) and merges the
-        delta stack at a barrier, byte-identical to the batched path
-        (:mod:`repro.dispatch`).
+        :attr:`shard_runner` to customize backend/timeouts).  The engines
+        differ only in their work units (:meth:`_collect_deltas`), their
+        arithmetic (the oracle round-trips and aggregates client by client)
+        and the oracle's seed-era energy accounting (no drain when no
+        scenario, injector or quorum is configured).
 
         Fault semantics (``fault_injector`` / ``quorum`` /
         ``checkpoints``, see :mod:`repro.faults`): crashes, delivery
         verdicts and the quorum check resolve *before* training
-        (:meth:`_plan_round`) identically on every engine path; a quorum
-        shortfall aborts with zero side effects.  With a checkpoint
-        store the cohort sweeps run in-process even under
-        ``engine="sharded"`` (the sharded merge is all-or-nothing and
-        byte-identical, so checkpointing mid-dispatch would add nothing)
-        and a fault-plan coordinator interrupt raises
+        (:meth:`_plan_round`) identically on every engine; a quorum
+        shortfall aborts with zero side effects.  With a checkpoint store
+        a fault-plan coordinator interrupt raises
         :class:`~repro.faults.RoundInterrupted`; re-issuing the same
         ``run_round`` resumes from the checkpoint byte-identically.
         """
-        engine = resolve_engine(
-            engine, None, owner="FederatedEngine.run_round", extra=(ENGINE_SHARDED,)
-        )
-        if engine == ENGINE_ORACLE:
-            return self._run_round_oracle(round_index, device_context=device_context)
+        engine = resolve_engine(engine, owner="FederatedEngine.run_round", extra=(ENGINE_SHARDED,))
+        oracle = engine == ENGINE_ORACLE
         runner = None
         if engine == ENGINE_SHARDED:
             from repro.runtime.sharded import ShardedFleetRunner
@@ -1403,57 +1419,59 @@ class FederatedEngine:
         if self.checkpoints is not None and checkpoint is None:
             checkpoint = self._checkpoint_for(round_index, plan)
             self.checkpoints.put(checkpoint)
-        if runner is not None and checkpoint is None:
-            deltas, losses, accs, shard_recoveries = runner.collect_deltas(self, contributors)
-        else:
-            deltas, losses, accs = self._collect_deltas(
-                contributors, round_index=round_index, checkpoint=checkpoint
-            )
-            shard_recoveries = 0
+        deltas, losses, accs, shard_recoveries = self._collect_deltas(
+            contributors, oracle, runner, round_index=round_index, checkpoint=checkpoint
+        )
         n_byzantine = self._corrupt_deltas(contributors, deltas)
-        decompressed, nbytes = self.compressor.roundtrip_batch(deltas)
-        if plan.delivered_rows is None:
-            rows = None
-            participants = list(contributors)
+        if oracle:
+            # Reference arithmetic: one round-trip per client, each decoded
+            # delta kept as the compressor returned it.
+            pairs = [self.compressor.roundtrip(row) for row in deltas]
+            decompressed = [decoded for decoded, _ in pairs]
+            nbytes = np.array([compressed.nbytes for _, compressed in pairs], dtype=np.int64)
+        else:
+            decompressed, nbytes = self.compressor.roundtrip_batch(deltas)
+        rows = list(range(len(contributors))) if plan.delivered_rows is None else plan.delivered_rows
+        participants = [contributors[i] for i in rows]
+        if plan.tx_counts is None:
             uplink = int(nbytes.sum())
         else:
-            rows = np.asarray(plan.delivered_rows, dtype=np.int64)
-            participants = [contributors[i] for i in plan.delivered_rows]
             # Every attempt (and duplicate) of every contributor crossed
             # the uplink, including the ones that never arrived.
             uplink = int(np.sum(nbytes * np.asarray(plan.tx_counts, dtype=np.int64)))
         if participants:
-            kept = decompressed if rows is None else decompressed[rows]
-            kept_losses = losses if rows is None else losses[rows]
-            kept_accs = accs if rows is None else accs[rows]
-            n_samples = np.array(
-                [self.clients[cid].n_samples for cid in participants], dtype=np.float64
-            )
-            if type(self.aggregator) is FedAvgAggregator:
+            if not oracle and type(self.aggregator) is FedAvgAggregator:
                 # Fast path: we already hold the stack FedAvg would build,
                 # so skip the per-update object churn.
-                delta = self.aggregator.aggregate_stack(kept, n_samples)
+                n_samples = np.array(
+                    [self.clients[cid].n_samples for cid in participants], dtype=np.float64
+                )
+                delta = self.aggregator.aggregate_stack(decompressed[rows], n_samples)
             else:
                 updates = [
                     ClientUpdate(
                         client_id=cid,
-                        delta=kept[i],
+                        delta=decompressed[row],
                         n_samples=self.clients[cid].n_samples,
-                        local_loss=float(kept_losses[i]),
-                        metrics={"local_accuracy": float(kept_accs[i])} if self.clients[cid].n_samples > 0 else {},
+                        local_loss=float(losses[row]),
+                        metrics={"local_accuracy": float(accs[row])} if self.clients[cid].n_samples > 0 else {},
                     )
-                    for i, cid in enumerate(participants)
+                    for row, cid in zip(rows, participants)
                 ]
                 delta = self.aggregator.aggregate(updates)
             self.global_model.set_flat_weights(self.global_model.get_flat_weights() + delta)
-            train_loss = float(np.mean(kept_losses))
-            mean_local_accuracy = float(np.mean(kept_accs))
+            train_loss = float(np.mean(losses[rows]))
+            mean_local_accuracy = float(np.mean(accs[rows]))
         else:
             # Everyone trained but nothing arrived (and no quorum was set
             # to abort): the round commits no delta.
             train_loss = 0.0
             mean_local_accuracy = 0.0
-        self._drain_training_energy(list(contributors) + stragglers)
+        if not (oracle and plan.trivial):
+            # The seed-era oracle baseline never drained energy; fault and
+            # scenario runs drain on every engine so fleet planes stay
+            # comparable across engines.
+            self._drain_training_energy(list(contributors) + stragglers)
 
         result = RoundResult(
             round_index=round_index,
@@ -1468,182 +1486,6 @@ class FederatedEngine:
             n_stragglers=plan.n_stragglers,
             n_byzantine=n_byzantine,
             shard_recoveries=shard_recoveries,
-            n_crashes=plan.n_crashes,
-            n_delivery_failures=plan.n_delivery_failures,
-            n_retransmits=plan.n_retransmits,
-            n_duplicates=plan.n_duplicates,
-            quorum_required=plan.quorum_required,
-        )
-        return self._finish_round(round_index, result)
-
-    def run_round_legacy(
-        self, round_index: int, device_context: Optional[Dict[str, Dict[str, object]]] = None
-    ) -> RoundResult:
-        """Deprecated alias for ``run_round(..., engine="oracle")``."""
-        warnings.warn(
-            'FederatedEngine.run_round_legacy is deprecated; use run_round(..., engine="oracle")',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_round_oracle(round_index, device_context=device_context)
-
-    def _run_round_oracle(
-        self, round_index: int, device_context: Optional[Dict[str, Dict[str, object]]] = None
-    ) -> RoundResult:
-        """The seed-era per-client round loop, kept as the equivalence and
-        performance baseline for ``bench_e6``.
-
-        Scenarios and the fault plane resolve through the same
-        :meth:`_plan_round` as the batched path — the dropout/straggler/
-        byzantine RNG draws, crash sets, delivery verdicts and quorum
-        decision are *identical* across ``engine="batched"|"oracle"|
-        "sharded"`` (a differential test asserts this); only the local
-        training and aggregation arithmetic stay scalar.  With no
-        scenario, injector or quorum configured the loop is byte-for-byte
-        the seed-era baseline (participants = selection, no energy
-        drain), preserving every pre-fault-plane comparison.
-
-        With a checkpoint store the loop checkpoints at *client*
-        granularity (one single-row cohort per contributor, position =
-        contributor row): a fault-plan interrupt's ``after_cohorts``
-        therefore counts completed clients here, and a resumed round
-        restores finished clients' deltas and trains only the rest —
-        byte-identical to an uninterrupted oracle round, across process
-        boundaries too (``train_round`` reseeds per call, so replay is
-        exact).
-        """
-        resume = None
-        if self.checkpoints is not None:
-            resume = self.checkpoints.latest_for(round_index, self._weights_digest())
-        if resume is not None:
-            selected = list(resume.selected)
-            plan = self._plan_from_checkpoint(resume)
-            self._restore_scheduler_rng(resume.scheduler_state)
-            if self.fault_injector is not None:
-                self.fault_injector.fire_interrupt(round_index)
-        else:
-            context = device_context if device_context is not None else self.fleet_context()
-            selected = self.scheduler.select(list(self.clients), round_index, context=context)
-            if not selected:
-                result = RoundResult(round_index, [], 0.0, self._evaluate(), 0, 0)
-                return self._finish_round(round_index, result)
-            plan = self._plan_round(round_index, selected)
-        if plan.aborted:
-            return self._abort_result(round_index, plan)
-        contributors, stragglers = plan.contributors, plan.stragglers
-        downlink = self._model_bytes * len(selected)
-        if not contributors:
-            self._drain_training_energy(stragglers)
-            result = RoundResult(
-                round_index, [], 0.0, self._evaluate(), 0, int(downlink),
-                n_selected=len(selected), n_dropouts=plan.n_dropouts,
-                n_stragglers=plan.n_stragglers, n_crashes=plan.n_crashes,
-                quorum_required=plan.quorum_required,
-            )
-            return self._finish_round(round_index, result)
-        checkpoint = resume
-        if self.checkpoints is not None and checkpoint is None:
-            checkpoint = self._checkpoint_for(round_index, plan)
-            self.checkpoints.put(checkpoint)
-        sc = self.scenario
-        byz_factor = 1.0
-        if sc is not None and sc.byzantine_ids:
-            byz_factor = -sc.byzantine_scale if sc.byzantine_mode == "flip" else sc.byzantine_scale
-        inj = self.fault_injector if checkpoint is not None else None
-        raw: List[ClientUpdate] = []
-        completed = 0
-        for row, cid in enumerate(contributors):
-            if checkpoint is not None and row in checkpoint.cohorts:
-                payload = checkpoint.cohorts[row]
-                client = self.clients[cid]
-                raw.append(
-                    ClientUpdate(
-                        client_id=cid,
-                        delta=payload["deltas"][0].copy(),
-                        n_samples=client.n_samples,
-                        local_loss=float(payload["losses"][0]),
-                        metrics={"local_accuracy": float(payload["accs"][0])}
-                        if client.n_samples > 0
-                        else {},
-                    )
-                )
-                completed += 1
-                continue
-            if inj is not None:
-                after = inj.interrupt_after(round_index)
-                if after is not None and completed >= after:
-                    inj.fire_interrupt(round_index)
-                    raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
-            update = self.clients[cid].train_round(self.global_model)
-            raw.append(update)
-            completed += 1
-            if checkpoint is not None:
-                checkpoint.record_cohort(
-                    row,
-                    [row],
-                    update.delta[None, :],
-                    [update.local_loss],
-                    [update.metrics.get("local_accuracy", 0.0)],
-                )
-                self.checkpoints.put(checkpoint)
-        if inj is not None:
-            after = inj.interrupt_after(round_index)
-            if after is not None and completed >= after:
-                inj.fire_interrupt(round_index)
-                raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
-        updates: List[ClientUpdate] = []
-        uplink = 0
-        n_byzantine = 0
-        for row, (cid, update) in enumerate(zip(contributors, raw)):
-            delta_out = update.delta
-            if byz_factor != 1.0 and cid in sc.byzantine_ids:
-                delta_out = delta_out * byz_factor
-                n_byzantine += 1
-            decompressed, compressed = self.compressor.roundtrip(delta_out)
-            tx = 1 if plan.tx_counts is None else plan.tx_counts[row]
-            uplink += compressed.nbytes * tx
-            updates.append(
-                ClientUpdate(
-                    client_id=update.client_id,
-                    delta=decompressed,
-                    n_samples=update.n_samples,
-                    local_loss=update.local_loss,
-                    metrics=update.metrics,
-                )
-            )
-        if plan.delivered_rows is None:
-            delivered = updates
-            participants = list(contributors)
-        else:
-            delivered = [updates[i] for i in plan.delivered_rows]
-            participants = [contributors[i] for i in plan.delivered_rows]
-        if delivered:
-            delta = self.aggregator.aggregate(delivered)
-            self.global_model.set_flat_weights(self.global_model.get_flat_weights() + delta)
-            train_loss = float(np.mean([u.local_loss for u in delivered]))
-            mean_local_accuracy = float(
-                np.mean([u.metrics.get("local_accuracy", 0.0) for u in delivered])
-            )
-        else:
-            train_loss = 0.0
-            mean_local_accuracy = 0.0
-        if not plan.trivial:
-            # The seed-era baseline never drained energy; fault/scenario
-            # runs mirror the batched path so fleet planes stay comparable
-            # across engines.
-            self._drain_training_energy(list(contributors) + stragglers)
-        result = RoundResult(
-            round_index=round_index,
-            participants=participants,
-            train_loss=train_loss,
-            global_accuracy=self._evaluate(),
-            uplink_bytes=int(uplink),
-            downlink_bytes=int(downlink),
-            mean_local_accuracy=mean_local_accuracy,
-            n_selected=len(selected),
-            n_dropouts=plan.n_dropouts,
-            n_stragglers=plan.n_stragglers,
-            n_byzantine=n_byzantine,
             n_crashes=plan.n_crashes,
             n_delivery_failures=plan.n_delivery_failures,
             n_retransmits=plan.n_retransmits,

@@ -42,12 +42,16 @@ class EncryptedBlob:
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """SHA-256 counter-mode keystream of the requested length."""
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+    prefix = key + nonce
+    n_blocks = -(-length // hashlib.sha256().digest_size)
+    return b"".join(
+        hashlib.sha256(prefix + counter.to_bytes(8, "little")).digest() for counter in range(n_blocks)
+    )[:length]
+
+
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data XOR stream`` (equal lengths) as one big-integer operation."""
+    return (int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")).to_bytes(len(data), "little")
 
 
 def encrypt_blob(plaintext: bytes, key: bytes, nonce: Optional[bytes] = None) -> EncryptedBlob:
@@ -56,8 +60,7 @@ def encrypt_blob(plaintext: bytes, key: bytes, nonce: Optional[bytes] = None) ->
         raise TypeError("plaintext must be bytes")
     if nonce is None:
         nonce = os.urandom(16)
-    stream = _keystream(key, nonce, len(plaintext))
-    ciphertext = bytes(a ^ b for a, b in zip(plaintext, stream))
+    ciphertext = _xor(plaintext, _keystream(key, nonce, len(plaintext)))
     tag = hmac.new(key, nonce + ciphertext, hashlib.sha256).digest()
     return EncryptedBlob(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
@@ -67,8 +70,7 @@ def decrypt_blob(blob: EncryptedBlob, key: bytes) -> bytes:
     expected = hmac.new(key, blob.nonce + blob.ciphertext, hashlib.sha256).digest()
     if not hmac.compare_digest(expected, blob.tag):
         raise IntegrityError("MAC verification failed: blob was modified or the key is wrong")
-    stream = _keystream(key, blob.nonce, len(blob.ciphertext))
-    return bytes(a ^ b for a, b in zip(blob.ciphertext, stream))
+    return _xor(blob.ciphertext, _keystream(key, blob.nonce, len(blob.ciphertext)))
 
 
 class ModelKeyManager:

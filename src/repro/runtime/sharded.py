@@ -25,18 +25,17 @@ per-row closed form, compiled-plan ``run_many`` is per-window exact, and
   re-installed in canonical device order (each device's monitor observed
   exactly the slice the batched sweep would have fed it);
 * battery/counter planes merge back via
-  :meth:`~repro.devices.FleetState.merge_rows` (or are written in place by
-  the ``shared`` backend).
+  :meth:`~repro.devices.FleetState.merge_rows`.
 
 *Federated* (``run_round``): work is distributed at **cohort granularity** —
 each homogeneous cohort's :func:`~repro.federated.engine.train_clients_batched`
 sweep runs whole inside one worker with identical inputs, because splitting
 a cohort would change the stacked tensor geometry (``n_max`` padding, GEMM
-widths) and risk last-ulp drift.  Fallback cohorts (stateful optimizer
-instances) train in the parent so their cross-round client state persists;
-idle cohorts keep their zero rows.  Delta rows are placed back by cohort
-indices, and the aggregation that follows (NumPy's pairwise-stable
-summation inside the aggregator) runs in the parent on the merged stack —
+widths) and risk last-ulp drift.  The engine's round transaction hands the
+batched cohorts to :meth:`ShardedFleetRunner.collect_deltas` as one
+dispatch and places the returned rows itself; fallback cohorts (stateful
+optimizer instances) train in the parent so their cross-round client state
+persists, and the aggregation runs in the parent on the merged stack —
 bitwise the same stack the batched path builds.
 
 Backends (``backend=`` kwarg)
@@ -45,12 +44,6 @@ Backends (``backend=`` kwarg)
                pickled sub-store (:meth:`FleetState.extract_rows`) plus
                deep-copied ledgers/monitors, and ships results back.
                Portable to any start method.
-``"shared"``   shared-memory NumPy views: the serving-mutable planes
-               (``level_j``, ``query_count``) are rebound onto anonymous
-               shared ``mmap`` buffers before the pool forks, so workers
-               write admission results in place and nothing but results /
-               ledger segments / monitors travels back.  Requires the
-               ``fork`` start method; degrades to ``"pickle"`` elsewhere.
 ``"inline"``   the full shard/split/merge machinery executed in-process —
                no pool.  Exists so differential and property tests can
                exercise shard semantics deterministically and cheaply; it
@@ -68,7 +61,7 @@ shards are counted in the caller's report/result
 (``FleetServeReport.shard_recoveries`` / ``RoundResult.shard_recoveries``).
 If even the in-process re-execution raises (a genuinely poisoned shard),
 the exception propagates with the parent's ledgers, monitors and planes
-untouched (the ``shared`` backend restores its plane snapshot first).
+untouched.
 
 Fault injection comes in two spellings (both documented centrally in the
 :mod:`repro.faults` package docstring): the env hook
@@ -91,7 +84,6 @@ simulates.
 from __future__ import annotations
 
 import copy
-import mmap
 import multiprocessing as mp
 import os
 import time
@@ -104,15 +96,7 @@ __all__ = ["ShardedFleetRunner", "shard_row_groups", "FAULT_ENV", "WORKERS_ENV"]
 FAULT_ENV = "REPRO_SHARD_FAULT"
 WORKERS_ENV = "REPRO_TEST_WORKERS"
 
-_BACKENDS = ("auto", "pickle", "shared", "inline")
-
-# Planes serve-sweeps mutate; the shared backend rebinds exactly these onto
-# anonymous shared mmap buffers (and snapshots them for fault recovery).
-_SHARED_SERVE_PLANES = ("level_j", "query_count")
-
-# Parent-side FleetState inherited by fork()ed pool workers of the shared
-# backend (set immediately before the pool is created, cleared after).
-_SHARED_STATE = None
+_BACKENDS = ("auto", "pickle", "inline")
 
 
 def shard_row_groups(n_items: int, workers: int) -> List[np.ndarray]:
@@ -180,10 +164,7 @@ def _serve_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
     from repro.core.serving import FleetServeReport, ServingEngine
     from repro.devices.fleet import Fleet
 
-    state = payload["state"]
-    if state is None:  # shared backend: the fork()ed parent store, planes in shm
-        state = _SHARED_STATE
-    fleet = Fleet.from_state(state)
+    fleet = Fleet.from_state(payload["state"])
     engine = ServingEngine(
         fleet,
         cost_model=payload["cost_model"],
@@ -208,7 +189,7 @@ def _serve_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
             for device_id, ledger in engine.ledgers.items()
         },
         "monitors": dict(engine.monitors),
-        "state": payload["state"],  # the mutated sub-store (None on shared)
+        "state": payload["state"],  # the mutated sub-store
     }
 
 
@@ -217,53 +198,10 @@ def _train_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
     _maybe_inject_fault(payload["shard_index"], payload["parent_pid"], payload.get("fault"))  # type: ignore[arg-type]
     from repro.federated.engine import train_clients_batched
 
-    deltas, losses, accs = train_clients_batched(payload["model"], payload["clients"])
     return {
         "shard_index": payload["shard_index"],
-        "positions": payload["positions"],
-        "deltas": deltas,
-        "losses": losses,
-        "accs": accs,
+        "rows": train_clients_batched(payload["model"], payload["clients"]),
     }
-
-
-# ---------------------------------------------------------------------------
-# shared-memory plane handle (fork backend)
-# ---------------------------------------------------------------------------
-
-
-class _SharedServePlanes:
-    """Rebind the serve-mutable planes onto anonymous shared mmap buffers.
-
-    Created *before* the pool forks so workers inherit the buffers; rows are
-    shard-disjoint, so concurrent writes never race.  Keeps a private
-    snapshot for fault recovery, and :meth:`close` copies the final values
-    back into ordinary private arrays.
-    """
-
-    def __init__(self, state) -> None:
-        self.state = state
-        self.snapshots = {p: getattr(state, p).copy() for p in _SHARED_SERVE_PLANES}
-        self._maps: List[mmap.mmap] = []
-        for plane in _SHARED_SERVE_PLANES:
-            src = getattr(state, plane)
-            buf = mmap.mmap(-1, max(src.nbytes, 1))  # MAP_SHARED | MAP_ANONYMOUS
-            arr = np.frombuffer(buf, dtype=src.dtype, count=src.size).reshape(src.shape)
-            arr[:] = src
-            setattr(state, plane, arr)
-            self._maps.append(buf)
-
-    def restore_rows(self, rows: np.ndarray) -> None:
-        """Reset the given rows to their pre-dispatch values."""
-        for plane in _SHARED_SERVE_PLANES:
-            getattr(self.state, plane)[rows] = self.snapshots[plane][rows]
-
-    def close(self) -> None:
-        """Copy final values back into private arrays and release the maps."""
-        for plane in _SHARED_SERVE_PLANES:
-            setattr(self.state, plane, np.array(getattr(self.state, plane), copy=True))
-        for buf in self._maps:
-            buf.close()
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +219,7 @@ class ShardedFleetRunner:
         ``os.cpu_count()``.  The effective count is capped by the number of
         shardable items.
     backend:
-        ``"auto"`` / ``"pickle"`` / ``"shared"`` / ``"inline"`` (module
-        docstring).  ``"shared"`` only affects serving sweeps; federated
-        cohort tasks always travel by pickle (they carry no plane writes).
+        ``"auto"`` / ``"pickle"`` / ``"inline"`` (module docstring).
     timeout_s:
         Per-dispatch deadline for collecting pool results; a shard that
         produced nothing by then (hung or killed worker) is recovered.
@@ -360,8 +296,6 @@ class ShardedFleetRunner:
             mp.get_context()  # a context at all
         except Exception:  # pragma: no cover - exotic platforms
             return "inline"
-        if self.backend == "shared":
-            return "shared" if self._fork_available() else "pickle"
         return "pickle"
 
     def _mp_context(self):
@@ -373,8 +307,6 @@ class ShardedFleetRunner:
         payloads: Sequence[Dict[str, object]],
         task_fn: Callable[[Dict[str, object]], Dict[str, object]],
         pooled: bool,
-        inline_prep: Optional[Callable[[Dict[str, object]], Dict[str, object]]] = None,
-        on_retry: Optional[Callable[[List[int]], None]] = None,
     ) -> Tuple[List[Dict[str, object]], Tuple[int, ...]]:
         """Run one payload per shard; return (results in shard order, recovered).
 
@@ -382,15 +314,12 @@ class ShardedFleetRunner:
         (exceptions, hangs, killed workers) drain through one fresh-pool
         retry pass per ``retries`` and finally the deterministic in-process
         fallback.  An in-process failure propagates, leaving the caller's
-        world unmerged.  ``on_retry`` runs after each pool teardown with the
-        still-failed shard indices (the shared backend restores planes
-        there); ``inline_prep`` rewrites a payload for in-process execution.
+        world unmerged.
         """
         n = len(payloads)
         results: List[Optional[Dict[str, object]]] = [None] * n
         if not pooled or n < 2:
-            prep = inline_prep or (lambda p: p)
-            return [task_fn(prep(p)) for p in payloads], ()
+            return [task_fn(p) for p in payloads], ()
 
         ctx = self._mp_context()
         failed = list(range(n))
@@ -424,12 +353,9 @@ class ShardedFleetRunner:
             if attempt > 0:
                 recovered.extend(i for i in failed if i not in still)
             failed = still
-            if failed and on_retry is not None:
-                on_retry(failed)
         if failed:
-            prep = inline_prep or (lambda p: p)
             for i in failed:
-                results[i] = task_fn(prep(payloads[i]))  # in-process; raises propagate
+                results[i] = task_fn(payloads[i])  # in-process; raises propagate
             recovered.extend(failed)
         return results, tuple(sorted(recovered))  # type: ignore[return-value]
 
@@ -451,7 +377,6 @@ class ShardedFleetRunner:
         compiled plan whose lowering options were not recorded) fall back to
         the single-process sweep directly.
         """
-        global _SHARED_STATE
         items: List[Tuple[str, np.ndarray]] = []
         for device_id, x in window.items():
             x = np.asarray(x)
@@ -467,7 +392,7 @@ class ShardedFleetRunner:
         if workers < 2 or n < 2 or plan_unreplayable:
             engine._serve_fleet_window(model_name, dict(items), report, bits=bits)
             return
-        mode = self.backend if self.backend == "inline" else self._resolve_backend()
+        mode = self._resolve_backend()
         if mode == "inline" and self.backend != "inline":
             # No usable pool: graceful single-process fallback.
             engine._serve_fleet_window(model_name, dict(items), report, bits=bits)
@@ -476,7 +401,6 @@ class ShardedFleetRunner:
         state = engine.fleet.state
         model = engine.models[model_name]
         plan_options = engine._plan_options.get(model_name) if model_name in engine.plans else None
-        shared = _SharedServePlanes(state) if mode == "shared" else None
         groups = shard_row_groups(n, workers)
         payloads: List[Dict[str, object]] = []
         shard_rows: List[np.ndarray] = []
@@ -503,43 +427,14 @@ class ShardedFleetRunner:
                     "monitors": copy.deepcopy(
                         {d: engine.monitors[d] for d in ids if d in engine.monitors}
                     ),
-                    "state": None if mode == "shared" else state.extract_rows(rows),
-                    "rows": rows,
+                    "state": state.extract_rows(rows),
                 }
             )
 
-        def inline_prep(payload: Dict[str, object]) -> Dict[str, object]:
-            if payload["state"] is None:  # shared shard recovered in-process
-                assert shared is not None
-                shared.restore_rows(payload["rows"])  # type: ignore[arg-type]
-                payload = dict(payload)
-                payload["state"] = state.extract_rows(payload["rows"])  # type: ignore[arg-type]
-            return payload
-
-        def on_retry(failed: List[int]) -> None:
-            if shared is not None:  # undo partial writes of dead workers
-                for i in failed:
-                    shared.restore_rows(shard_rows[i])
-
         self._attach_faults("serve", payloads)
-        if mode == "shared":
-            _SHARED_STATE = state  # inherited by the fork()ed pool workers
-        try:
-            task_results, recovered = self._run_shards(
-                payloads,
-                _serve_shard_task,
-                pooled=mode != "inline",
-                inline_prep=inline_prep,
-                on_retry=on_retry,
-            )
-        except Exception:
-            if shared is not None:
-                shared.restore_rows(np.concatenate(shard_rows))
-            raise
-        finally:
-            _SHARED_STATE = None
-            if shared is not None:
-                shared.close()
+        task_results, recovered = self._run_shards(
+            payloads, _serve_shard_task, pooled=mode != "inline"
+        )
 
         # Barrier merge, in shard (= canonical window) order.  Nothing above
         # touched the parent world, so a raise before this point is clean.
@@ -566,9 +461,7 @@ class ShardedFleetRunner:
                 },
             )
         for shard_index, task_result in enumerate(task_results):
-            sub_state = task_result["state"]
-            if sub_state is not None:
-                state.merge_rows(sub_state, shard_rows[shard_index])
+            state.merge_rows(task_result["state"], shard_rows[shard_index])
             for device_id, segment in task_result["ledger_segments"].items():  # type: ignore[union-attr]
                 if segment:
                     engine.ledgers[device_id].append_segment(segment)
@@ -582,60 +475,28 @@ class ShardedFleetRunner:
 
     # -- federated -------------------------------------------------------
     def collect_deltas(
-        self, fed_engine, contributors: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Sharded twin of ``FederatedEngine._collect_deltas``.
+        self, model, cohorts: Sequence[Sequence]
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
+        """Train whole batched cohorts on the pool in one dispatch.
 
-        Batched cohorts are dispatched whole (one worker each, so the
-        stacked-tensor geometry — and therefore every float — matches the
-        single-process sweep exactly); fallback cohorts train in the parent
-        because their clients may carry cross-round optimizer state; idle
-        cohorts keep their zero rows.  Returns
-        ``(deltas, losses, accs, shard_recoveries)`` with rows placed by
-        cohort indices, bitwise equal to the batched path.
+        Each cohort (a list of clients that
+        :func:`~repro.federated.engine.partition_cohorts` grouped into one
+        batched sweep) runs whole in one worker, so the stacked-tensor
+        geometry — and therefore every float — matches the single-process
+        sweep exactly.  Returns one ``(deltas, losses, accs)`` triple per
+        cohort, in order, plus the number of recovered shards.
         """
-        from repro.federated.engine import partition_cohorts
-
-        clients = [fed_engine.clients[cid] for cid in contributors]
-        n_params = fed_engine.global_model.get_flat_weights().size
-        deltas = np.zeros((len(clients), n_params))
-        losses = np.zeros(len(clients))
-        accs = np.zeros(len(clients))
-        batched_cohorts = []
-        fallback_positions: List[int] = []
-        for cohort in partition_cohorts(fed_engine.global_model, clients):
-            if cohort.kind == "idle":
-                continue
-            if cohort.batched:
-                batched_cohorts.append(list(cohort.indices))
-            else:
-                fallback_positions.extend(cohort.indices)
-
-        recovered: Tuple[int, ...] = ()
-        if batched_cohorts:
-            workers = self.resolve_workers(len(batched_cohorts))
-            mode = self.backend if self.backend == "inline" else self._resolve_backend()
-            pooled = mode != "inline" and workers >= 2 and len(batched_cohorts) >= 2
-            payloads = [
-                {
-                    "shard_index": shard_index,
-                    "parent_pid": os.getpid(),
-                    "model": fed_engine.global_model,
-                    "clients": [clients[p] for p in positions],
-                    "positions": positions,
-                }
-                for shard_index, positions in enumerate(batched_cohorts)
-            ]
-            self._attach_faults("train", payloads)
-            task_results, recovered = self._run_shards(payloads, _train_shard_task, pooled=pooled)
-            for task_result in task_results:
-                positions = task_result["positions"]
-                deltas[positions] = task_result["deltas"]
-                losses[positions] = task_result["losses"]
-                accs[positions] = task_result["accs"]
-        for position in fallback_positions:
-            update = clients[position].train_round(fed_engine.global_model)
-            deltas[position] = update.delta
-            losses[position] = update.local_loss
-            accs[position] = update.metrics.get("local_accuracy", 0.0)
-        return deltas, losses, accs, len(recovered)
+        workers = self.resolve_workers(len(cohorts))
+        pooled = self._resolve_backend() != "inline" and workers >= 2 and len(cohorts) >= 2
+        payloads = [
+            {
+                "shard_index": shard_index,
+                "parent_pid": os.getpid(),
+                "model": model,
+                "clients": list(clients),
+            }
+            for shard_index, clients in enumerate(cohorts)
+        ]
+        self._attach_faults("train", payloads)
+        task_results, recovered = self._run_shards(payloads, _train_shard_task, pooled=pooled)
+        return [task_result["rows"] for task_result in task_results], len(recovered)

@@ -12,7 +12,6 @@ from repro.devices.network import NetworkType
 from repro.federated import (
     FederatedClient,
     FederatedEngine,
-    FederatedServer,
     RandomScheduler,
     RoundScenario,
     TrimmedMeanAggregator,
@@ -70,7 +69,7 @@ class TestVectorizedEquivalence:
         vec, leg = _pair(train, test, **kwargs)
         w0 = vec.global_model.get_flat_weights().copy()
         rv = vec.run_round(0)
-        rl = leg.run_round_legacy(0)
+        rl = leg.run_round(0, engine="oracle")
         _assert_rounds_equal(rv, rl)
         dv = vec.global_model.get_flat_weights() - w0
         dl = leg.global_model.get_flat_weights() - w0
@@ -80,7 +79,7 @@ class TestVectorizedEquivalence:
         train, test = task
         vec, leg = _pair(train, test)
         for r in range(3):
-            _assert_rounds_equal(vec.run_round(r), leg.run_round_legacy(r))
+            _assert_rounds_equal(vec.run_round(r), leg.run_round(r, engine="oracle"))
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
@@ -88,7 +87,7 @@ class TestVectorizedEquivalence:
     def test_fedprox_clients_match_legacy(self, task):
         train, test = task
         vec, leg = _pair(train, test, client_kwargs={"proximal_mu": 0.5})
-        _assert_rounds_equal(vec.run_round(0), leg.run_round_legacy(0))
+        _assert_rounds_equal(vec.run_round(0), leg.run_round(0, engine="oracle"))
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
@@ -102,7 +101,7 @@ class TestVectorizedEquivalence:
         )
         vec = FederatedEngine(make_mlp(12, 4, hidden=(16,), seed=0), clients + [empty], eval_data=(test.x, test.y))
         leg = FederatedEngine(make_mlp(12, 4, hidden=(16,), seed=0), clients + [empty], eval_data=(test.x, test.y))
-        _assert_rounds_equal(vec.run_round(0), leg.run_round_legacy(0))
+        _assert_rounds_equal(vec.run_round(0), leg.run_round(0, engine="oracle"))
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
@@ -124,7 +123,7 @@ class TestVectorizedEquivalence:
         assert [c.kind for c in cohorts] == ["fallback"]
         vec = FederatedEngine(model(), clients, eval_data=(test.x, test.y))
         leg = FederatedEngine(model(), clients, eval_data=(test.x, test.y))
-        _assert_rounds_equal(vec.run_round(0), leg.run_round_legacy(0))
+        _assert_rounds_equal(vec.run_round(0), leg.run_round(0, engine="oracle"))
 
     def test_dropout_model_is_vectorized(self, task):
         """Dropout stacks batch since PR 5 (exact per-client mask streams)."""
@@ -134,7 +133,7 @@ class TestVectorizedEquivalence:
         assert vectorized_supported(model, clients)
         vec = FederatedEngine(model, clients, eval_data=(test.x, test.y))
         leg = FederatedEngine(make_mlp(12, 4, hidden=(16,), dropout=0.2, seed=0), clients, eval_data=(test.x, test.y))
-        _assert_rounds_equal(vec.run_round(0), leg.run_round_legacy(0))
+        _assert_rounds_equal(vec.run_round(0), leg.run_round(0, engine="oracle"))
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
@@ -151,12 +150,12 @@ class TestVectorizedEquivalence:
         assert all(c.batched for c in cohorts)
         assert sorted(c.key[0] for c in cohorts) == ["adam", "sgd"]
 
-    def test_server_facade_delegates_to_engine(self, task):
+    def test_run_records_history(self, task):
         train, test = task
-        server = FederatedServer(make_mlp(12, 4, hidden=(24, 12), seed=0), _clients(train), eval_data=(test.x, test.y))
-        history = server.run(2)
-        assert len(server.history) == 2 and history[-1] is server.history[-1]
-        assert server.total_communication()["rounds"] == 2.0
+        engine = FederatedEngine(make_mlp(12, 4, hidden=(24, 12), seed=0), _clients(train), eval_data=(test.x, test.y))
+        history = engine.run(2)
+        assert len(engine.history) == 2 and history[-1] is engine.history[-1]
+        assert engine.total_communication()["rounds"] == 2.0
         assert history[-1].global_accuracy > 0.5
 
 

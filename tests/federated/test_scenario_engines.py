@@ -74,6 +74,21 @@ def test_scenario_rounds_are_fully_identical_across_engines(engine):
     )
 
 
+def _unit_scale_byzantine_run(engine):
+    fed = federated_world(9, N_CLIENTS)
+    fed.scenario = RoundScenario(byzantine_ids=frozenset({"c1", "c4"}), byzantine_scale=1.0, seed=13)
+    return [fed.run_round(r, engine=engine).as_dict() for r in range(2)]
+
+
+@pytest.mark.parametrize("engine", ["oracle", "sharded"])
+def test_unit_scale_byzantine_clients_are_counted_on_every_engine(engine):
+    """A factor-1.0 corruption leaves the delta unchanged, but the client is
+    still byzantine: every engine counts it."""
+    ref = _unit_scale_byzantine_run("batched")
+    assert _unit_scale_byzantine_run(engine) == ref
+    assert sum(r["n_byzantine"] for r in ref) > 0
+
+
 def test_scenario_actually_perturbs_the_rounds():
     # Guard against the differential test passing vacuously.
     _, results = _run("batched")

@@ -84,6 +84,27 @@ class TestEncryption:
         blob = encrypt_blob(b"model-weights", key=b"k" * 32, nonce=b"n" * 16)
         assert decrypt_blob(blob, b"k" * 32) == b"model-weights"
 
+    def test_known_answer(self):
+        """Fixed key, nonce and 100-byte plaintext pin the cipher's output
+        (SHA-256 counter-mode keystream, XOR, HMAC-SHA-256 over nonce +
+        ciphertext) byte for byte."""
+        plaintext = bytes((7 * i + 3) % 256 for i in range(100))
+        blob = encrypt_blob(plaintext, key=bytes(range(32)), nonce=bytes(range(100, 116)))
+        assert blob.ciphertext.hex() == (
+            "5e367eb1db279e8652af1e12fdbc3838a5adb46ab2746ee8c1dee52094bce201"
+            "0f765a44d9aee7800d710405b1d056615e639538ee39aefda75cc4be81788481"
+            "1244c713975bf8773d6fbc95b3c23b12ebf5d445f2fb2e56cda51880ea72512a"
+            "9107d2f9"
+        )
+        assert blob.tag.hex() == "15a35f9b0d47710218806143d09099cd1c46909899af0538f1635a8b5440cf5e"
+
+    def test_large_blob_roundtrip(self):
+        plaintext = np.random.default_rng(0).bytes(300 * 1024)
+        blob = encrypt_blob(plaintext, key=b"k" * 32, nonce=b"n" * 16)
+        assert len(blob.ciphertext) == len(plaintext)
+        assert decrypt_blob(blob, b"k" * 32) == plaintext
+        assert encrypt_blob(b"", key=b"k" * 32).ciphertext == b""
+
     def test_ciphertext_differs_from_plaintext(self):
         blob = encrypt_blob(b"model-weights-123456", key=b"k" * 32)
         assert blob.ciphertext != b"model-weights-123456"

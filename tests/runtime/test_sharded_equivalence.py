@@ -10,8 +10,7 @@ global weights — for every worker count and shard composition.
 The hypothesis properties run the full shard/split/merge machinery with
 ``backend="inline"`` (identical code path minus the pool, so properties
 stay fast and deterministic); dedicated tests re-run representative cases
-through real worker processes with ``backend="pickle"`` and
-``backend="shared"``.
+through real worker processes with ``backend="pickle"``.
 
 Failing-case reproducer template (fill in from the hypothesis output)::
 
@@ -76,9 +75,14 @@ def test_shard_row_groups_cover_and_balance():
 
 
 def test_dispatch_sharded_is_per_surface_opt_in():
-    assert resolve_engine("sharded", None, extra=("sharded",)) == "sharded"
+    assert resolve_engine("sharded", extra=("sharded",)) == "sharded"
     with pytest.raises(ValueError):
-        resolve_engine("sharded", None)  # surfaces without opt-in reject it
+        resolve_engine("sharded")  # surfaces without opt-in reject it
+
+
+def test_shared_memory_backend_is_removed():
+    with pytest.raises(ValueError, match="unknown backend"):
+        ShardedFleetRunner(backend="shared")
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +116,8 @@ def test_sharded_serving_real_processes(workers):
     _assert_serving_identical(seed=7, n_devices=19, workers=workers, backend="pickle")
 
 
-def test_sharded_serving_shared_memory_backend():
-    _assert_serving_identical(seed=11, n_devices=23, workers=4, backend="shared")
+def test_sharded_serving_23_devices_real_processes():
+    _assert_serving_identical(seed=11, n_devices=23, workers=4, backend="pickle")
 
 
 def test_sharded_serving_200_devices_real_processes():

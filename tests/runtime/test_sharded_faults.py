@@ -58,16 +58,16 @@ def test_serving_recovers_from_worker_fault(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ("raise", "exit"))
-def test_serving_shared_backend_restores_planes_before_retry(mode, monkeypatch):
-    """Shared-memory shards may have written admission results before dying;
-    recovery must reset those rows so the in-process re-execution starts
-    from the pre-dispatch planes."""
+def test_serving_recovery_restarts_from_pre_dispatch_planes(mode, monkeypatch):
+    """A shard may have admitted queries before dying; the in-process
+    re-execution must start from the pre-dispatch planes, so the merged
+    world equals a fault-free batched run."""
     base, window = _serving_world(seed=19, n_devices=14)
     report_base = base.serve_fleet("m", window)
     snap_base = _serving_snapshot(base)
 
     sharded, window_s = _serving_world(seed=19, n_devices=14)
-    sharded.shard_runner = _fault_runner(backend="shared")
+    sharded.shard_runner = _fault_runner()
     monkeypatch.setenv(FAULT_ENV, f"1:{mode}")
     report_sharded = sharded.serve_fleet("m", window_s, engine="sharded")
     assert report_sharded.shard_recoveries > 0
@@ -87,10 +87,10 @@ def test_serving_poisoned_shard_never_merges_partially(monkeypatch):
     assert _serving_snapshot(sharded) == snap_before
 
 
-def test_serving_poisoned_shared_shard_restores_planes(monkeypatch):
+def test_serving_poisoned_first_shard_leaves_planes_untouched(monkeypatch):
     sharded, window = _serving_world(seed=29, n_devices=12)
     snap_before = _serving_snapshot(sharded)
-    sharded.shard_runner = _fault_runner(backend="shared")
+    sharded.shard_runner = _fault_runner()
     monkeypatch.setenv(FAULT_ENV, "0:raise:any")
     with pytest.raises(RuntimeError, match="injected fault"):
         sharded.serve_fleet("m", window, engine="sharded")
